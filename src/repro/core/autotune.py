@@ -381,12 +381,12 @@ def tune_blocks(
             for d in active:
                 if blk.shape[d] < 7:
                     continue
+                # Work on a moved view so the error array is C-ordered with
+                # axis d last: the float sum below keeps one fixed order.
                 v = np.moveaxis(blk, d, -1)
-                tpos = np.arange(3, v.shape[-1] - 3)
-                if tpos.size == 0:
-                    continue
-                pred = interp._line_predict_safe(v, tpos, name)
-                err = np.take(v, tpos, axis=-1) - pred
+                n = v.shape[-1]
+                err = interp._line_predict_safe(v, v.ndim - 1, 3, 1, name, stop=n - 3)
+                np.subtract(v[..., 3 : n - 3], err, out=err)
                 nz += int(np.count_nonzero(np.rint(err / (2.0 * e))))
                 total += float(np.abs(err).sum())
             errs.append((nz, total))
@@ -402,6 +402,18 @@ def tune_blocks(
     if np.unique(cfg_map).size == 1:
         return None  # uniform map == global config; skip the metadata
     return cfg_map
+
+
+def add_block_map(
+    data: np.ndarray, e: float, opts: TuneOptions, cfg: EngineConfig
+) -> None:
+    """§6.6 block-wise interpolation tuning: set ``cfg.block_cfg`` to the
+    per-block spline map if one passes :func:`_validate_blockcfg`."""
+    cfg.block_cfg = tune_blocks(
+        data, opts, cfg.frozen_axes, cfg.level_configs[0].spline, e
+    )
+    if cfg.block_cfg is not None and not _validate_blockcfg(data, e, cfg):
+        cfg.block_cfg = None
 
 
 def _validate_blockcfg(data: np.ndarray, e: float, cfg: EngineConfig) -> bool:
@@ -508,12 +520,7 @@ def tune(data: np.ndarray, e: float, opts: TuneOptions) -> TuneResult:
         except OverflowError:
             pass
 
-    # §6.6 block-wise interpolation tuning
     if opts.blockwise and not use_lorenzo:
-        cfg.block_cfg = tune_blocks(
-            data, opts, cfg.frozen_axes, cfg.level_configs[0].spline, e
-        )
-        if cfg.block_cfg is not None and not _validate_blockcfg(data, e, cfg):
-            cfg.block_cfg = None
+        add_block_map(data, e, opts, cfg)
 
     return TuneResult(use_lorenzo=use_lorenzo, cfg=cfg, sigma2=tuple(sigma2))

@@ -27,6 +27,20 @@ target and, failing that, clamped to an even (always-known) index — this
 keeps every read *parity-safe*: the decompressor replays the identical
 walk on a NaN-initialized array and never reads an unwritten point.
 
+Stencil kernel: along a pass axis the targets form an arithmetic
+progression (step 2, or 4 in a same-level split, in stride units). The
+*interior* targets, whose whole stencil lies inside the array, read each
+stencil term as one basic strided slice taken directly on the pass axis,
+and accumulate into a preallocated output; no gather, no axis move. Only
+the few *edge* targets apply the mirror-then-clamp rule, tap by tap. The
+split is cached per (length, first target, step, stencil), since the
+tuner's crops repeat the same few shapes.
+
+Kernel changes are pure speed-ups: every product and sum is rounded in
+the same order as the reference gather formula (kept in
+``tests/test_splines.py``), so payloads and reconstructions stay
+byte-identical (``tests/test_golden_blobs.py`` pins them).
+
 ``fvfi=False`` (Table 6 ablation) executes each pass slice-by-slice along
 the fastest-varying axis — QoZ's dim-major traversal with poor memory
 locality — instead of one vectorized strided pass.
@@ -37,7 +51,8 @@ block mask, so the walk stays vectorized and bit-exact on both sides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -134,24 +149,92 @@ def _stencil_name(spline: str, same_level_phase: bool) -> str:
     return splines.SAME_LEVEL_OF[spline]
 
 
-def _line_predict_safe(v: np.ndarray, tpos: np.ndarray, stencil: str) -> np.ndarray:
-    """Stencil prediction with parity-safe boundary handling (see module doc)."""
-    n = v.shape[-1]
+@lru_cache(maxsize=4096)
+def _stencil_plan(n: int, t0: int, stop: int, step: int, stencil: str) -> tuple:
+    """Interior / edge split of the targets ``t0, t0+step, ... < stop`` on
+    a line of length ``n``.
+
+    Interior targets (a contiguous range ``k_lo <= k < k_hi``) have every
+    stencil neighbour inside the line; each stencil term reads them as
+    one basic strided slice. The few edge targets keep the parity-safe
+    rule: an out-of-range neighbour is mirrored about the target and,
+    failing that, clamped to an even index. Returns ``(nt, interior,
+    edges)``: ``interior`` is ``(out slice, ((neighbour slice, w), ...))``
+    or None, ``edges`` is ``((out slice, ((neighbour slice, w), ...)), ...)``
+    with one-element slices.
+    """
+    terms = splines.STENCILS[stencil]
+    nt = len(range(t0, stop, step))
+    reach_lo = -min(off for off, _ in terms)
+    reach_hi = max(off for off, _ in terms)
+    k_lo = min(nt, max(0, -((t0 - reach_lo) // step)))
+    k_hi = max(k_lo, min(nt, (n - 1 - reach_hi - t0) // step + 1))
+    interior = None
+    if k_hi > k_lo:
+        first = t0 + step * k_lo
+        last = t0 + step * (k_hi - 1)
+        interior = (
+            slice(k_lo, k_hi),
+            tuple(
+                (slice(first + off, last + off + 1, step), w) for off, w in terms
+            ),
+        )
     n1 = n - 1
     hi_even = n1 - (n1 & 1)
-    acc: np.ndarray | None = None
-    for off, w in splines.STENCILS[stencil]:
-        idx = tpos + off
-        oob = (idx < 0) | (idx > n1)
-        if oob.any():
-            idx = np.where(oob, tpos - off, idx)
-            oob = (idx < 0) | (idx > n1)
-            if oob.any():
-                idx = np.where(oob, np.clip(idx, 0, hi_even), idx)
-        term = w * np.take(v, idx, axis=-1)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+    edges = []
+    for k in (*range(k_lo), *range(k_hi, nt)):
+        t = t0 + step * k
+        taps = []
+        for off, w in terms:
+            idx = t + off
+            if not 0 <= idx <= n1:
+                idx = t - off
+                if not 0 <= idx <= n1:
+                    idx = min(max(idx, 0), hi_even)
+            taps.append((slice(idx, idx + 1), w))
+        edges.append((slice(k, k + 1), tuple(taps)))
+    return nt, interior, tuple(edges)
+
+
+def _accumulate(
+    out: np.ndarray, v: np.ndarray, lead: tuple, terms: tuple, tmp: np.ndarray
+) -> None:
+    """``out = w0 * v[lead + (sl0,)] + w1 * v[lead + (sl1,)] + ...``, each
+    product rounded, then summed left to right, in place."""
+    (sl, w), rest = terms[0], terms[1:]
+    np.multiply(v[lead + (sl,)], w, out=out)
+    for sl, w in rest:
+        np.multiply(v[lead + (sl,)], w, out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _line_predict_safe(
+    v: np.ndarray,
+    d: int,
+    t0: int,
+    step: int,
+    stencil: str,
+    stop: int | None = None,
+) -> np.ndarray:
+    """Stencil prediction at ``t0, t0+step, ... < stop`` along axis ``d``
+    of the float64 array ``v`` (see the module doc for the interior-slice
+    / edge-tap split). The result has ``v``'s shape with axis ``d`` cut
+    to the targets, in C order."""
+    n = v.shape[d]
+    nt, interior, edges = _stencil_plan(
+        n, t0, n if stop is None else stop, step, stencil
+    )
+    lead = (ALL,) * d
+    out = np.empty(v.shape[:d] + (nt,) + v.shape[d + 1 :])
+    if interior is not None:
+        osl, terms = interior
+        o = out[lead + (osl,)]
+        _accumulate(o, v, lead, terms, np.empty_like(o))
+    if edges:
+        tmp = np.empty(v.shape[:d] + (1,) + v.shape[d + 1 :])
+        for ksl, taps in edges:
+            _accumulate(out[lead + (ksl,)], v, lead, taps, tmp)
+    return out
 
 
 class _Walk:
@@ -209,12 +292,10 @@ class _Walk:
 
     # -- prediction --------------------------------------------------------
     def _pred_1d(
-        self, d: int, cat: dict[int, slice], s: int, tpos: np.ndarray, stencil: str
+        self, d: int, cat: dict[int, slice], s: int, t0: int, step: int, stencil: str
     ) -> np.ndarray:
-        sel_v = self._mk_sel(cat, d, slice(0, None, s))
-        v = self.a[sel_v]
-        p = _line_predict_safe(np.moveaxis(v, d, -1), tpos, stencil)
-        return np.moveaxis(p, -1, d)
+        v = self.a[self._mk_sel(cat, d, slice(0, None, s))]
+        return _line_predict_safe(v, d, t0, step, stencil)
 
     def _blend_blocks(
         self,
@@ -249,25 +330,15 @@ class _Walk:
         n = self.a.shape[d]
         if n <= s:
             return
-        nv = (n - 1) // s + 1
-        tpos_all = np.arange(1, nv, 2)
-        if tpos_all.size == 0:
-            return
-        split = lc.same_level and lc.spline != "linear" and tpos_all.size > 1
-        phases = (
-            [(tpos_all[0::2], False, 4), (tpos_all[1::2], True, 4)]
-            if split
-            else [(tpos_all, False, 2)]
-        )
-        for tpos, sl_phase, step_mult in phases:
-            if tpos.size == 0:
-                continue
-            tslice = slice(int(tpos[0]) * s, None, step_mult * s)
-            sel_t = self._mk_sel(cat, d, tslice)
+        nt = ((n - 1) // s + 1) // 2  # odd v-grid positions
+        split = lc.same_level and lc.spline != "linear" and nt > 1
+        phases = ((1, False, 4), (3, True, 4)) if split else ((1, False, 2),)
+        for t0, sl_phase, step in phases:
+            sel_t = self._mk_sel(cat, d, slice(t0 * s, None, step * s))
             pred = self._blend_blocks(
                 sel_t,
                 sl_phase,
-                lambda st: self._pred_1d(d, cat, s, tpos, st),
+                lambda st: self._pred_1d(d, cat, s, t0, step, st),
                 lc.spline,
             )
             self.a[sel_t] = self.qfun(pred, sel_t, e_l)
@@ -296,11 +367,13 @@ class _Walk:
         def pred_of(stencil: str) -> np.ndarray:
             acc: np.ndarray | None = None
             for wi, d in zip(w, A):
-                nv = (shape[d] - 1) // s + 1
-                tpos = np.arange(1, nv, 2)
                 cat_d = {ax: sl for ax, sl in cat.items() if ax != d}
-                p = self._pred_1d(d, cat_d, s, tpos, stencil)
-                acc = wi * p if acc is None else acc + wi * p
+                p = self._pred_1d(d, cat_d, s, 1, 2, stencil)
+                np.multiply(p, wi, out=p)
+                if acc is None:
+                    acc = p
+                else:
+                    np.add(acc, p, out=acc)
             assert acc is not None
             return acc
 

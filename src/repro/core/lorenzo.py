@@ -13,7 +13,9 @@ second-order Lorenzo of [55] applies the difference operator twice.
 This vectorizes both directions (diff / cumsum), which is how the codec
 stays competitive inside the speed tables.
 
-The dynamic order (1 vs 2) is chosen by actual encoded size.
+The dynamic order (1 vs 2) is chosen by actual encoded size. A value
+halfway between two lattice points can miss both by an ulp in float64;
+those few points are stored exactly in a patch section.
 """
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ def _inverse(d: np.ndarray, order: int) -> np.ndarray:
 
 
 def compress(data: np.ndarray, e: float) -> bytes:
-    """Compress under absolute bound ``e``; raises if the quantization
-    lattice would overflow (caller falls back to interpolation)."""
+    """Compress under absolute bound ``e``; raises ``OverflowError`` if the
+    quantization lattice would overflow (caller falls back to
+    interpolation)."""
     if e <= 0:
         raise ValueError("error bound must be positive")
     a = np.asarray(data, dtype=np.float64)
@@ -60,6 +63,9 @@ def compress(data: np.ndarray, e: float) -> bytes:
     under = (a - 2.0 * e * u) < -e
     if under.any():
         u[under] -= 1
+    # A value halfway between two lattice points can miss both by an ulp
+    # in float64; such points are stored exactly and patched in on decode.
+    miss = np.flatnonzero(np.abs(a - 2.0 * e * u) > e)
     best: tuple[int, bytes] | None = None
     for order in (1, 2):
         blob = codes_mod.encode(_forward(u, order).ravel(), center=0)
@@ -73,9 +79,11 @@ def compress(data: np.ndarray, e: float) -> bytes:
         "e": e,
         "order": order,
     }
-    return container.pack(
-        [("meta", container.json_section(meta)), ("codes", blob)]
-    )
+    sections = [("meta", container.json_section(meta)), ("codes", blob)]
+    if miss.size:
+        sections.append(("patch_at", container.array_section(miss.astype(np.int64))))
+        sections.append(("patch_val", container.array_section(a.ravel()[miss])))
+    return container.pack(sections)
 
 
 def decompress(payload: bytes) -> np.ndarray:
@@ -84,4 +92,11 @@ def decompress(payload: bytes) -> np.ndarray:
     shape = tuple(meta["shape"])
     d = codes_mod.decode(sec["codes"]).reshape(shape)
     u = _inverse(d, int(meta["order"]))
-    return 2.0 * float(meta["e"]) * u.astype(np.float64)
+    out = 2.0 * float(meta["e"]) * u.astype(np.float64)
+    if "patch_at" in sec:
+        at = container.to_array(sec["patch_at"])
+        vals = container.to_array(sec["patch_val"])
+        if at.shape != vals.shape or not ((0 <= at) & (at < out.size)).all():
+            raise ValueError("corrupt Lorenzo patch section")
+        out.ravel()[at] = vals
+    return out

@@ -16,4 +16,8 @@ def compress(data: bytes, level: int = LEVEL) -> bytes:
 
 
 def decompress(blob: bytes) -> bytes:
-    return zlib.decompress(blob)
+    """Inverse of :func:`compress`; ``ValueError`` on a corrupt stream."""
+    try:
+        return zlib.decompress(blob)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt lossless stream: {exc}") from exc

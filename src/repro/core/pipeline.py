@@ -48,10 +48,17 @@ class PredictionCodec:
             if fvfi is not None:
                 opts.fvfi = fvfi
         result = autotune.tune(data, e, opts)
+        inner = None
         if result.use_lorenzo:
-            inner = lorenzo.compress(data, e)
-            kind = "lorenzo"
-        else:
+            try:
+                inner = lorenzo.compress(data, e)
+                kind = "lorenzo"
+            except OverflowError:
+                # Lorenzo won on the samples, but the whole input overflows
+                # its lattice: interpolate, with the §6.6 map tuning skipped.
+                if opts.blockwise:
+                    autotune.add_block_map(data, e, opts, result.cfg)
+        if inner is None:
             inner, _ = interp.compress(data, e, result.cfg)
             kind = "interp"
         meta = {"algo": self.name, "kind": kind, "e": e}

@@ -32,17 +32,26 @@ class QuantEncoder:
     ) -> np.ndarray:
         """Quantize ``truth - pred`` under bound ``eb``; return the
         reconstruction and record codes at ``sel``."""
-        err = truth - pred
-        q = np.rint(err / (2.0 * eb))
-        recon = pred + 2.0 * eb * q
+        twoe = 2.0 * eb
+        q = truth - pred
+        q /= twoe
+        np.rint(q, out=q)
+        recon = q * twoe
+        recon += pred
         # Outlier if the quantization index saturates or float rounding
         # pushed the reconstruction out of bound.
-        bad = (np.abs(q) >= self.radius - 1) | (np.abs(truth - recon) > eb)
-        # clip before the int cast: saturated q may exceed int32
-        chunk = (np.clip(q, -self.radius, self.radius) + self.radius).astype(
-            np.int32
-        )
-        if bad.any():
+        dev = truth - recon
+        np.abs(dev, out=dev)
+        bad = dev > eb
+        np.abs(q, out=dev)
+        bad |= dev >= self.radius - 1
+        any_bad = bad.any()
+        if any_bad:
+            # clip before the int cast: saturated q may exceed int32
+            np.clip(q, -self.radius, self.radius, out=q)
+        q += self.radius
+        chunk = q.astype(np.int32)
+        if any_bad:
             chunk[bad] = 0
             self._literals.append(np.ascontiguousarray(truth[bad]).ravel())
             recon = np.where(bad, truth, recon)
@@ -68,11 +77,13 @@ class QuantDecoder:
 
     def dequantize(self, pred: np.ndarray, eb: float, sel: tuple) -> np.ndarray:
         chunk = self.codes[sel]
-        recon = pred + 2.0 * eb * (chunk.astype(np.float64) - self.radius)
-        bad = chunk == 0
-        nbad = int(bad.sum())
+        recon = chunk.astype(np.float64)
+        recon -= self.radius
+        recon *= 2.0 * eb
+        recon += pred
+        nbad = chunk.size - int(np.count_nonzero(chunk))
         if nbad:
             lits = self._literals[self._lit_pos : self._lit_pos + nbad]
             self._lit_pos += nbad
-            recon[bad] = lits
+            recon[chunk == 0] = lits
         return recon

@@ -15,11 +15,10 @@ Stencils (paper equation numbers):
 
 All weights sum to 1, so predictions are affine-invariant (exact on
 constants); the inter-level cubics are exact on cubic polynomials and the
-linear stencil on linear ones — properties pinned by unit tests.
+linear stencil on linear ones — properties pinned by unit tests. The
+engine applies them in ``interp._line_predict_safe``.
 """
 from __future__ import annotations
-
-import numpy as np
 
 #: name -> tuple of (offset, weight) pairs, offsets in stride units.
 STENCILS: dict[str, tuple[tuple[int, float], ...]] = {
@@ -43,22 +42,3 @@ SPLINE_CHOICES = ("linear", "cubic_nak", "cubic_nat")
 #: inter-level spline -> matching same-level variant (paper §5.4.2).
 SAME_LEVEL_OF = {"cubic_nak": "cubic_nak_sl", "cubic_nat": "cubic_nat_sl"}
 
-
-def line_predict(
-    v: np.ndarray, tpos: np.ndarray, stencil: str
-) -> np.ndarray:
-    """Predict values at indices ``tpos`` along the last axis of ``v``.
-
-    ``v`` is the stride-subsampled working line (last axis length n); the
-    neighbours used are ``v[..., tpos + off]`` with out-of-range indices
-    clipped to the array edge (edge replication — the deterministic
-    boundary fallback shared by compressor and decompressor).
-    """
-    n = v.shape[-1]
-    acc: np.ndarray | None = None
-    for off, w in STENCILS[stencil]:
-        idx = np.clip(tpos + off, 0, n - 1)
-        term = w * np.take(v, idx, axis=-1)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc

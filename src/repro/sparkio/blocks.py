@@ -68,7 +68,8 @@ def split_blocks(
 def to_blocks_df(
     spark: SparkSession, arr: np.ndarray, block: tuple[int, ...]
 ) -> DataFrame:
-    """Shred ``arr`` into a block DataFrame (one row per block)."""
+    """Shred ``arr`` into a block DataFrame (one row per block), spread
+    evenly over ``defaultParallelism`` partitions."""
     rows = [
         (
             bid,
@@ -79,7 +80,15 @@ def to_blocks_df(
         )
         for bid, origin, vals in split_blocks(arr, block)
     ]
-    return spark.createDataFrame(rows, schema=_BLOCK_SCHEMA)
+    # A plain createDataFrame(rows) pickles the list in batches of
+    # len // parallelism rows and gives the remainder to the last
+    # partition (27 blocks on 4 cores land as 6/6/6/9). Ship one
+    # pre-balanced chunk per partition instead: sizes differ by <= 1.
+    p = max(1, min(spark.sparkContext.defaultParallelism, len(rows)))
+    cuts = [i * len(rows) // p for i in range(p + 1)]
+    chunks = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+    rdd = spark.sparkContext.parallelize(chunks, p).flatMap(lambda c: c)
+    return spark.createDataFrame(rdd, schema=_BLOCK_SCHEMA)
 
 
 def compress_df(

@@ -1,4 +1,6 @@
 """Bulk quantization-code coder tests (byte-plane + Huffman paths)."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,3 +73,67 @@ def test_roundtrip_hypothesis(data):
 def test_rejects_garbage():
     with pytest.raises(ValueError):
         codes.decode(b"XXXXrest")
+
+
+def _bp_blob(n=5000):
+    rng = np.random.default_rng(3)
+    return codes.encode(rng.integers(-300, 300, n), center=0)
+
+
+def test_byte_plane_paths_agree_across_widths():
+    """int32 and int64 inputs give the same planes, so the same blob."""
+    rng = np.random.default_rng(4)
+    arr = 32768 + rng.integers(-3000, 3000, 20000)
+    assert codes.encode(arr.astype(np.int32), 32768) == codes.encode(
+        arr.astype(np.int64), 32768
+    )
+
+
+@pytest.mark.parametrize("span", [2**7, 2**15, 2**23, 2**31, 2**40, 2**62])
+def test_byte_plane_roundtrip_every_width(span):
+    rng = np.random.default_rng(5)
+    arr = rng.integers(-span, span, 6000)
+    arr[:2] = (-span, span - 1)
+    np.testing.assert_array_equal(codes.decode(codes.encode(arr)), arr)
+
+
+def test_truncated_blob_raises():
+    blob = _bp_blob()
+    for cut in (3, 10, 21, 25, 29, len(blob) // 2, len(blob) - 1):
+        with pytest.raises(ValueError):
+            codes.decode(blob[:cut])
+    hf = codes.encode(np.arange(100))
+    for cut in (10, 19, len(hf) - 1):
+        with pytest.raises(ValueError):
+            codes.decode(hf[:cut])
+
+
+def test_short_plane_raises():
+    """A plane that decodes to fewer than n bytes used to broadcast."""
+    from repro.core import lossless
+
+    plane = lossless.compress(b"\x00")
+    blob = b"BP01" + struct.pack("<QqB", 5000, 0, 1)
+    blob += struct.pack("<Q", len(plane)) + plane
+    with pytest.raises(ValueError, match="byte plane 0"):
+        codes.decode(blob)
+
+
+@pytest.mark.parametrize("nbytes", [0, 9, 255])
+def test_bad_plane_count_raises(nbytes):
+    blob = bytearray(_bp_blob())
+    blob[4 + 16] = nbytes
+    with pytest.raises(ValueError, match="byte planes"):
+        codes.decode(bytes(blob))
+
+
+def test_corrupt_plane_raises():
+    blob = bytearray(_bp_blob())
+    blob[4 + 17 + 8 + 2] ^= 0xFF  # inside plane 0's DEFLATE stream
+    with pytest.raises(ValueError):
+        codes.decode(bytes(blob))
+
+
+def test_trailing_bytes_raise():
+    with pytest.raises(ValueError, match="trailing"):
+        codes.decode(_bp_blob() + b"\x00")

@@ -34,6 +34,18 @@ def test_block_shred_covers_everything(spark, field):
     np.testing.assert_array_equal(out, field.astype(np.float64))
 
 
+def test_blocks_spread_evenly_over_partitions(spark):
+    """27 blocks on 4 cores: 7/7/7/6-style rows, never 6/6/6/9."""
+    arr = np.arange(30 * 30 * 30, dtype=np.float32).reshape(30, 30, 30)
+    df = sparkio.to_blocks_df(spark, arr, (10, 10, 10))
+    counts = df.rdd.glom().map(len).collect()
+    assert len(counts) == min(spark.sparkContext.defaultParallelism, 27)
+    assert sum(counts) == 27
+    assert max(counts) - min(counts) <= 1
+    ids = sorted(r.block_id for r in df.select("block_id").collect())
+    assert ids == list(range(27))
+
+
 def test_distributed_roundtrip_bound(block_tables, field):
     orig, comp, deco, e_abs = block_tables
     out = sparkio.reassemble(deco, field.shape)
